@@ -7,9 +7,16 @@ GO ?= go
 # Coverage floor (percent) enforced on the packages PR 1 race-proofed.
 COVER_FLOOR ?= 85.0
 
-.PHONY: check vet build test race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-auth fleet-demo lint lint-custom campaigns vuln cover bench bench-check
+.PHONY: check fmt vet build test race chaos shard shard-smoke shard-smoke-1m auth fuzz fuzz-verify fuzz-jit fuzz-auth fleet-demo lint lint-custom campaigns vuln cover bench bench-check
 
-check: vet build race
+check: fmt vet build race
+
+# gofmt -l prints every unformatted file; any output fails the target.
+fmt:
+	@unformatted="$$(gofmt -l .)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // ErrEmptySignal is returned by operations that require at least one sample.
@@ -37,14 +38,19 @@ func MinMax(x []float64) (minV, maxV float64, err error) {
 // Normalize rescales x into [0, 1] using min-max normalization, writing
 // into a new slice. A constant signal normalizes to all zeros rather than
 // dividing by zero.
-func Normalize(x []float64) ([]float64, error) {
+func Normalize(x []float64) ([]float64, error) { return NormalizeInto(nil, x) }
+
+// NormalizeInto is Normalize writing into dst's storage, which it grows
+// when too small; it returns the len(x) result.
+func NormalizeInto(dst, x []float64) ([]float64, error) {
 	minV, maxV, err := MinMax(x)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(x))
+	out := slices.Grow(dst[:0], len(x))[:len(x)]
 	span := maxV - minV
 	if span == 0 {
+		clear(out)
 		return out, nil
 	}
 	for i, v := range x {
@@ -98,25 +104,36 @@ func RMS(x []float64) float64 {
 // odd window size. Edges use the available (shorter) window. An even or
 // non-positive window is an error.
 func MovingAverage(x []float64, window int) ([]float64, error) {
+	return MovingAverageInto(nil, x, window)
+}
+
+// MovingAverageInto is MovingAverage writing into dst's storage, which it
+// grows when too small; it returns the len(x) result. dst must not
+// overlap x.
+//
+// It is a running-sum integrator: each step adds the sample entering the
+// window and subtracts the one leaving it, so the cost is O(len(x)) for
+// any window. The sum is rounded differently from re-adding the window
+// at every sample, typically by a few ulps.
+func MovingAverageInto(dst, x []float64, window int) ([]float64, error) {
 	if window <= 0 || window%2 == 0 {
 		return nil, fmt.Errorf("dsp: moving average window must be positive and odd, got %d", window)
 	}
 	half := window / 2
-	out := make([]float64, len(x))
-	for i := range x {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
+	n := len(x)
+	out := slices.Grow(dst[:0], n)[:n]
+	var s float64
+	for _, v := range x[:min(half, n)] {
+		s += v
+	}
+	for i := range out {
+		if hi := i + half; hi < n {
+			s += x[hi]
 		}
-		hi := i + half + 1
-		if hi > len(x) {
-			hi = len(x)
+		if lo := i - half - 1; lo >= 0 {
+			s -= x[lo]
 		}
-		var s float64
-		for _, v := range x[lo:hi] {
-			s += v
-		}
-		out[i] = s / float64(hi-lo)
+		out[i] = s / float64(min(i+half+1, n)-max(i-half, 0))
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package dsp
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -99,6 +100,119 @@ func TestMovingAverageBadWindow(t *testing.T) {
 		if _, err := MovingAverage([]float64{1}, w); err == nil {
 			t.Errorf("window %d should error", w)
 		}
+	}
+}
+
+// resumMovingAverage is the integrator MovingAverage's running sum
+// replaced: it re-adds the whole (edge-truncated) window at every sample.
+func resumMovingAverage(x []float64, window int) []float64 {
+	half := window / 2
+	out := make([]float64, len(x))
+	for i := range x {
+		lo, hi := max(i-half, 0), min(i+half+1, len(x))
+		var s float64
+		for _, v := range x[lo:hi] {
+			s += v
+		}
+		out[i] = s / float64(hi-lo)
+	}
+	return out
+}
+
+func TestMovingAverageIntoTable(t *testing.T) {
+	for _, tc := range []struct {
+		x      []float64
+		window int
+		want   []float64
+	}{
+		{nil, 3, []float64{}},
+		{[]float64{4}, 5, []float64{4}},
+		{[]float64{1, 2, 3}, 1, []float64{1, 2, 3}},
+		{[]float64{1, 2, 3, 4, 5}, 3, []float64{1.5, 2, 3, 4, 4.5}},
+		{[]float64{2, 4, 6, 8}, 5, []float64{4, 5, 5, 6}},
+		{[]float64{3, 6, 9}, 9, []float64{6, 6, 6}}, // window wider than x
+		{[]float64{8, 0, 0, 0, 0, 0, 8}, 3, []float64{4, 8.0 / 3, 0, 0, 0, 8.0 / 3, 4}},
+	} {
+		got, err := MovingAverageInto(nil, tc.x, tc.window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(tc.want) {
+			t.Fatalf("MovingAverageInto(%v, %d) = %v, want %v", tc.x, tc.window, got, tc.want)
+		}
+		for i := range tc.want {
+			if got[i] != tc.want[i] {
+				t.Errorf("MovingAverageInto(%v, %d)[%d] = %v, want %v", tc.x, tc.window, i, got[i], tc.want[i])
+			}
+		}
+	}
+	if _, err := MovingAverageInto(make([]float64, 4), []float64{1, 2}, 4); err == nil {
+		t.Error("even window should error")
+	}
+}
+
+// TestMovingAverageMatchesResum checks the running sum against the
+// re-summing integrator over random lengths, window sizes and edges.
+// Where the samples share a magnitude (as squared ECG energy does within a
+// beat) the relative error per sample is at most 1e-12; for samples of
+// any sign and scale the error is at most 1e-12 of the largest window
+// average magnitude, the scale at which every running-sum step rounds.
+func TestMovingAverageMatchesResum(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(1500)
+		window := 2*rng.Intn(60) + 1
+		positive := make([]float64, n)
+		wide := make([]float64, n)
+		for i := range positive {
+			positive[i] = 1 + rng.Float64()
+			wide[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
+		}
+
+		got, err := MovingAverage(positive, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range resumMovingAverage(positive, window) {
+			if rel := math.Abs(got[i]-w) / w; rel > 1e-12 {
+				t.Fatalf("n=%d window=%d: sample %d = %v, re-sum %v (relative error %.3g)", n, window, i, got[i], w, rel)
+			}
+		}
+
+		got, err = MovingAverage(wide, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		abs := make([]float64, n)
+		for i, v := range wide {
+			abs[i] = math.Abs(v)
+		}
+		var scale float64
+		for _, v := range resumMovingAverage(abs, window) {
+			scale = max(scale, v)
+		}
+		for i, w := range resumMovingAverage(wide, window) {
+			if d := math.Abs(got[i] - w); d > 1e-12*scale {
+				t.Fatalf("n=%d window=%d: sample %d = %v, re-sum %v (error %.3g of scale %.3g)", n, window, i, got[i], w, d, scale)
+			}
+		}
+	}
+}
+
+func TestMovingAverageIntoReusesDst(t *testing.T) {
+	x := []float64{1, 2, 3, 4, 5, 6, 7}
+	dst := make([]float64, 3, 16)
+	out, err := MovingAverageInto(dst, x, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(x) || &out[0] != &dst[:1][0] {
+		t.Fatalf("MovingAverageInto did not reuse dst's storage (len %d)", len(out))
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		out, err = MovingAverageInto(out, x, 5)
+	}); n != 0 || err != nil {
+		t.Errorf("MovingAverageInto into a large enough dst allocates %.1f/op (err %v), want 0", n, err)
 	}
 }
 

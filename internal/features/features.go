@@ -23,6 +23,7 @@ package features
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/wiot-security/sift/internal/obs"
 	"github.com/wiot-security/sift/internal/portrait"
@@ -114,65 +115,87 @@ func (v Version) Names() []string {
 // Extract computes the version's feature vector from a portrait using the
 // given grid size (the paper fixes gridN = 50; see portrait.DefaultGridSize).
 func Extract(v Version, p *portrait.Portrait, gridN int) ([]float64, error) {
+	var s Scratch
+	return s.Extract(nil, v, p, gridN)
+}
+
+// Scratch holds the buffers feature extraction works in: the occupancy
+// grid, its column averages and the characteristic points. The zero value
+// is ready to use; reusing one across calls makes extraction
+// allocation-free. A Scratch is not safe for concurrent use.
+type Scratch struct {
+	grid       portrait.Matrix
+	cols       []float64
+	rPts, sPts []portrait.Point
+	pairPts    [][2]portrait.Point
+}
+
+// Extract is the package-level Extract working in s's buffers and writing
+// the feature vector over dst's contents.
+func (s *Scratch) Extract(dst []float64, v Version, p *portrait.Portrait, gridN int) ([]float64, error) {
 	span := obsExtract.Start()
 	defer span.End()
 	obsExtracted.Add(1)
+	f := slices.Grow(dst[:0], v.Dim())
 	switch v {
 	case Original:
-		return extractOriginal(p, gridN)
+		if err := s.matrix(p, gridN); err != nil {
+			return nil, err
+		}
+		s.points(p)
+		return append(f,
+			s.grid.SpatialFillingIndex(),
+			std(s.cols),
+			trapezoid(s.cols),
+			meanAngle(s.rPts),
+			meanAngle(s.sPts),
+			meanDistOrigin(s.rPts),
+			meanDistOrigin(s.sPts),
+			meanPairDist(s.pairPts),
+		), nil
 	case Simplified:
-		return extractSimplified(p, gridN)
+		if err := s.matrix(p, gridN); err != nil {
+			return nil, err
+		}
+		f = append(f,
+			s.grid.SpatialFillingIndex(),
+			variance(s.cols),
+			simplifiedAUC(s.cols),
+		)
+		return s.appendReduced(f, p), nil
 	case Reduced:
-		return extractReduced(p), nil
+		return s.appendReduced(f, p), nil
 	default:
 		return nil, fmt.Errorf("features: unknown version %d", int(v))
 	}
 }
 
-func extractOriginal(p *portrait.Portrait, gridN int) ([]float64, error) {
-	m, err := p.Grid(gridN)
-	if err != nil {
-		return nil, err
+// matrix bins p into the scratch grid and takes its column averages.
+func (s *Scratch) matrix(p *portrait.Portrait, gridN int) error {
+	if err := p.GridInto(&s.grid, gridN); err != nil {
+		return err
 	}
-	col := m.ColumnAverages()
-	f := make([]float64, 0, 8)
-	f = append(f,
-		m.SpatialFillingIndex(),
-		std(col),
-		trapezoid(col),
-		meanAngle(p.RPoints()),
-		meanAngle(p.SysPoints()),
-		meanDistOrigin(p.RPoints()),
-		meanDistOrigin(p.SysPoints()),
-		meanPairDist(p.PairPoints()),
-	)
-	return f, nil
+	s.cols = s.grid.ColumnAverages(s.cols)
+	return nil
 }
 
-func extractSimplified(p *portrait.Portrait, gridN int) ([]float64, error) {
-	m, err := p.Grid(gridN)
-	if err != nil {
-		return nil, err
-	}
-	col := m.ColumnAverages()
-	f := make([]float64, 0, 8)
-	f = append(f,
-		m.SpatialFillingIndex(),
-		variance(col),
-		simplifiedAUC(col),
-	)
-	f = append(f, extractReduced(p)...)
-	return f, nil
+// points gathers p's R, systolic and paired points into the scratch.
+func (s *Scratch) points(p *portrait.Portrait) {
+	s.rPts = p.Points(s.rPts, p.RPeaks)
+	s.sPts = p.Points(s.sPts, p.SysPeaks)
+	s.pairPts = p.PairPoints(s.pairPts)
 }
 
-func extractReduced(p *portrait.Portrait) []float64 {
-	return []float64{
-		meanSlope(p.RPoints()),
-		meanSlope(p.SysPoints()),
-		meanSquaredDistOrigin(p.RPoints()),
-		meanSquaredDistOrigin(p.SysPoints()),
-		meanSquaredPairDist(p.PairPoints()),
-	}
+// appendReduced appends the five Simplified geometric features to f.
+func (s *Scratch) appendReduced(f []float64, p *portrait.Portrait) []float64 {
+	s.points(p)
+	return append(f,
+		meanSlope(s.rPts),
+		meanSlope(s.sPts),
+		meanSquaredDistOrigin(s.rPts),
+		meanSquaredDistOrigin(s.sPts),
+		meanSquaredPairDist(s.pairPts),
+	)
 }
 
 // slopeCap bounds the slope y/x when x approaches zero, mirroring the

@@ -12,6 +12,7 @@ package peaks
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/wiot-security/sift/internal/dsp"
 )
@@ -46,100 +47,151 @@ func (c DetectorConfig) fillDefaults() DetectorConfig {
 	return c
 }
 
-// DetectR locates R-peak sample indices in ecg.
-func DetectR(ecg []float64, cfg DetectorConfig) ([]int, error) {
+// RDetector is the R-peak detector with its band-pass designed once and
+// its working buffers kept between calls, so detecting a window in steady
+// state allocates nothing. It is not safe for concurrent use.
+type RDetector struct {
+	band       *dsp.Cascade
+	win        int // moving-integration window in samples, odd
+	refractory int // minimum peak separation in samples
+	threshFrac float64
+
+	energy     []float64 // squared first difference of the band-passed ECG
+	integrated []float64 // moving-window integral of energy
+	candidates []int     // integrator peaks
+	peaks      []int     // refined R peaks, returned by Detect
+}
+
+// NewRDetector validates cfg and designs the detector's band-pass.
+func NewRDetector(cfg DetectorConfig) (*RDetector, error) {
 	cfg = cfg.fillDefaults()
 	if cfg.SampleRate <= 0 {
 		return nil, fmt.Errorf("peaks: sample rate must be positive, got %.3g", cfg.SampleRate)
 	}
-	if len(ecg) == 0 {
-		return nil, dsp.ErrEmptySignal
-	}
-
 	band, err := dsp.BandPass(cfg.BandLow, cfg.BandHigh, cfg.SampleRate)
 	if err != nil {
 		return nil, fmt.Errorf("peaks: band-pass design: %w", err)
 	}
-	filtered := band.Apply(ecg)
-	deriv := dsp.Diff(filtered)
-	squared := dsp.Square(deriv)
-
 	win := int(cfg.WindowSec * cfg.SampleRate)
 	if win%2 == 0 {
 		win++
 	}
-	integrated, err := dsp.MovingAverage(squared, win)
+	if win <= 0 {
+		return nil, fmt.Errorf("peaks: integration window of %d samples must be positive", win)
+	}
+	return &RDetector{
+		band:       band,
+		win:        win,
+		refractory: int(cfg.Refractory * cfg.SampleRate),
+		threshFrac: cfg.ThreshFrac,
+	}, nil
+}
+
+// Detect locates R-peak sample indices in ecg. The returned slice is the
+// detector's own buffer: it is valid until the next call to Detect.
+func (d *RDetector) Detect(ecg []float64) ([]int, error) {
+	if len(ecg) == 0 {
+		return nil, dsp.ErrEmptySignal
+	}
+	// Band-pass, first difference and square in one pass.
+	d.band.Reset()
+	energy := slices.Grow(d.energy[:0], len(ecg)-1)
+	prev := d.band.Step(ecg[0])
+	for _, v := range ecg[1:] {
+		y := d.band.Step(v)
+		dy := y - prev
+		energy = append(energy, dy*dy)
+		prev = y
+	}
+	d.energy = energy
+
+	integrated, err := dsp.MovingAverageInto(d.integrated, energy, d.win)
 	if err != nil {
 		return nil, fmt.Errorf("peaks: integration window: %w", err)
 	}
-
-	refractory := int(cfg.Refractory * cfg.SampleRate)
-	candidates := thresholdPeaks(integrated, cfg.ThreshFrac, refractory)
+	d.integrated = integrated
+	d.candidates = thresholdPeaks(d.candidates, integrated, d.threshFrac, d.refractory)
 
 	// Refine each candidate to the true ECG maximum in a neighborhood —
 	// the integrator peak lags the R wave by roughly half the window.
-	half := win
-	out := make([]int, 0, len(candidates))
-	for _, c := range candidates {
-		out = append(out, argmaxAround(ecg, c, half))
+	out := slices.Grow(d.peaks[:0], len(d.candidates))
+	for _, c := range d.candidates {
+		out = append(out, argmaxAround(ecg, c, d.win))
 	}
-	return dedupeSorted(out, refractory), nil
+	d.peaks = dedupeSorted(out, d.refractory)
+	return d.peaks, nil
+}
+
+// DetectR locates R-peak sample indices in ecg with a detector built for
+// this one call; the result is the caller's to keep.
+func DetectR(ecg []float64, cfg DetectorConfig) ([]int, error) {
+	d, err := NewRDetector(cfg)
+	if err != nil {
+		return nil, err
+	}
+	r, err := d.Detect(ecg)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int, len(r))
+	copy(out, r)
+	return out, nil
 }
 
 // DetectSystolic locates systolic-peak sample indices in abp: local maxima
 // above the running mean, separated by the refractory interval.
 func DetectSystolic(abp []float64, sampleRate float64) ([]int, error) {
+	return DetectSystolicInto(nil, abp, sampleRate)
+}
+
+// DetectSystolicInto is DetectSystolic writing over dst's contents and
+// reusing its storage.
+func DetectSystolicInto(dst []int, abp []float64, sampleRate float64) ([]int, error) {
 	if sampleRate <= 0 {
 		return nil, fmt.Errorf("peaks: sample rate must be positive, got %.3g", sampleRate)
 	}
 	if len(abp) == 0 {
 		return nil, dsp.ErrEmptySignal
 	}
-	mean := dsp.Mean(abp)
-	_, maxV, err := dsp.MinMax(abp)
-	if err != nil {
-		return nil, err
+	// Mean and maximum in one pass; the sum runs in index order, as
+	// dsp.Mean's does.
+	var sum float64
+	maxV := abp[0]
+	for _, v := range abp {
+		sum += v
+		if v > maxV {
+			maxV = v
+		}
 	}
+	mean := sum / float64(len(abp))
 	// Peaks must rise at least 40 % of the way from the mean to the max —
 	// this rejects dicrotic bumps, which sit below the systolic crest.
 	floor := mean + 0.4*(maxV-mean)
-	refractory := int(0.3 * sampleRate)
-
-	var out []int
-	last := -refractory
-	for i := 1; i < len(abp)-1; i++ {
-		if abp[i] < floor || abp[i] < abp[i-1] || abp[i] <= abp[i+1] {
-			continue
-		}
-		if i-last < refractory {
-			// Keep the taller of the two competing peaks.
-			if len(out) > 0 && abp[i] > abp[out[len(out)-1]] {
-				out[len(out)-1] = i
-				last = i
-			}
-			continue
-		}
-		out = append(out, i)
-		last = i
-	}
-	return out, nil
+	return localMaxima(dst, abp, floor, int(0.3*sampleRate)), nil
 }
 
 // thresholdPeaks finds local maxima of x above frac·max(x), enforcing the
-// refractory separation.
-func thresholdPeaks(x []float64, frac float64, refractory int) []int {
+// refractory separation. It writes over dst's contents.
+func thresholdPeaks(dst []int, x []float64, frac float64, refractory int) []int {
 	_, maxV, err := dsp.MinMax(x)
 	if err != nil || maxV <= 0 {
-		return nil
+		return dst[:0]
 	}
-	floor := frac * maxV
-	var out []int
+	return localMaxima(dst, x, frac*maxV, refractory)
+}
+
+// localMaxima finds the local maxima of x at or above floor; of two
+// maxima closer than refractory samples it keeps the taller. It writes
+// over dst's contents.
+func localMaxima(dst []int, x []float64, floor float64, refractory int) []int {
+	out := dst[:0]
 	last := -refractory
 	for i := 1; i < len(x)-1; i++ {
 		if x[i] < floor || x[i] < x[i-1] || x[i] <= x[i+1] {
 			continue
 		}
 		if i-last < refractory {
+			// Keep the taller of the two competing peaks.
 			if len(out) > 0 && x[i] > x[out[len(out)-1]] {
 				out[len(out)-1] = i
 				last = i
@@ -189,7 +241,12 @@ func dedupeSorted(idx []int, minGap int) []int {
 // within maxLag samples. R peaks with no such systolic peak are skipped.
 // Both inputs must be ascending.
 func Pair(rPeaks, sysPeaks []int, maxLag int) [][2]int {
-	var out [][2]int
+	return PairInto(nil, rPeaks, sysPeaks, maxLag)
+}
+
+// PairInto is Pair writing over dst's contents and reusing its storage.
+func PairInto(dst [][2]int, rPeaks, sysPeaks []int, maxLag int) [][2]int {
+	out := dst[:0]
 	j := 0
 	for _, r := range rPeaks {
 		for j < len(sysPeaks) && sysPeaks[j] <= r {

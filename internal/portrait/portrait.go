@@ -10,6 +10,7 @@ package portrait
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/wiot-security/sift/internal/dsp"
 )
@@ -39,36 +40,47 @@ type Portrait struct {
 // slices must be ascending and within range; pairs associates each R peak
 // with its corresponding systolic peak (as the paper's feature 8 needs).
 func New(ecg, abp []float64, rPeaks, sysPeaks []int, pairs [][2]int) (*Portrait, error) {
+	p := &Portrait{}
+	if err := p.Build(ecg, abp, rPeaks, sysPeaks, pairs); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Build is New assembling into p: it normalizes into p's A and E storage
+// and keeps references to the peak slices. On error p is unspecified.
+func (p *Portrait) Build(ecg, abp []float64, rPeaks, sysPeaks []int, pairs [][2]int) error {
 	if len(ecg) != len(abp) {
-		return nil, fmt.Errorf("portrait: ECG (%d) and ABP (%d) lengths differ", len(ecg), len(abp))
+		return fmt.Errorf("portrait: ECG (%d) and ABP (%d) lengths differ", len(ecg), len(abp))
 	}
 	if len(ecg) == 0 {
-		return nil, dsp.ErrEmptySignal
+		return dsp.ErrEmptySignal
 	}
-	for _, p := range rPeaks {
-		if p < 0 || p >= len(ecg) {
-			return nil, fmt.Errorf("portrait: R peak index %d out of range [0,%d)", p, len(ecg))
+	for _, i := range rPeaks {
+		if i < 0 || i >= len(ecg) {
+			return fmt.Errorf("portrait: R peak index %d out of range [0,%d)", i, len(ecg))
 		}
 	}
-	for _, p := range sysPeaks {
-		if p < 0 || p >= len(ecg) {
-			return nil, fmt.Errorf("portrait: systolic peak index %d out of range [0,%d)", p, len(ecg))
+	for _, i := range sysPeaks {
+		if i < 0 || i >= len(ecg) {
+			return fmt.Errorf("portrait: systolic peak index %d out of range [0,%d)", i, len(ecg))
 		}
 	}
 	for _, pr := range pairs {
 		if pr[0] < 0 || pr[0] >= len(ecg) || pr[1] < 0 || pr[1] >= len(ecg) {
-			return nil, fmt.Errorf("portrait: pair %v out of range [0,%d)", pr, len(ecg))
+			return fmt.Errorf("portrait: pair %v out of range [0,%d)", pr, len(ecg))
 		}
 	}
-	e, err := dsp.Normalize(ecg)
+	e, err := dsp.NormalizeInto(p.E, ecg)
 	if err != nil {
-		return nil, fmt.Errorf("portrait: normalize ECG: %w", err)
+		return fmt.Errorf("portrait: normalize ECG: %w", err)
 	}
-	a, err := dsp.Normalize(abp)
+	a, err := dsp.NormalizeInto(p.A, abp)
 	if err != nil {
-		return nil, fmt.Errorf("portrait: normalize ABP: %w", err)
+		return fmt.Errorf("portrait: normalize ABP: %w", err)
 	}
-	return &Portrait{A: a, E: e, RPeaks: rPeaks, SysPeaks: sysPeaks, Pairs: pairs}, nil
+	p.A, p.E, p.RPeaks, p.SysPeaks, p.Pairs = a, e, rPeaks, sysPeaks, pairs
+	return nil
 }
 
 // Len returns the number of trajectory points.
@@ -77,29 +89,22 @@ func (p *Portrait) Len() int { return len(p.A) }
 // At returns the i-th trajectory point.
 func (p *Portrait) At(i int) Point { return Point{X: p.A[i], Y: p.E[i]} }
 
-// RPoints returns the portrait points at the R peaks.
-func (p *Portrait) RPoints() []Point {
-	out := make([]Point, len(p.RPeaks))
-	for i, idx := range p.RPeaks {
-		out[i] = p.At(idx)
+// Points returns the portrait points at the sample indices idx (p.RPeaks
+// or p.SysPeaks), written over dst's contents.
+func (p *Portrait) Points(dst []Point, idx []int) []Point {
+	out := slices.Grow(dst[:0], len(idx))
+	for _, i := range idx {
+		out = append(out, p.At(i))
 	}
 	return out
 }
 
-// SysPoints returns the portrait points at the systolic peaks.
-func (p *Portrait) SysPoints() []Point {
-	out := make([]Point, len(p.SysPeaks))
-	for i, idx := range p.SysPeaks {
-		out[i] = p.At(idx)
-	}
-	return out
-}
-
-// PairPoints returns (R point, systolic point) tuples for each pairing.
-func (p *Portrait) PairPoints() [][2]Point {
-	out := make([][2]Point, len(p.Pairs))
-	for i, pr := range p.Pairs {
-		out[i] = [2]Point{p.At(pr[0]), p.At(pr[1])}
+// PairPoints returns (R point, systolic point) tuples for each pairing,
+// written over dst's contents.
+func (p *Portrait) PairPoints(dst [][2]Point) [][2]Point {
+	out := slices.Grow(dst[:0], len(p.Pairs))
+	for _, pr := range p.Pairs {
+		out = append(out, [2]Point{p.At(pr[0]), p.At(pr[1])})
 	}
 	return out
 }
@@ -115,17 +120,28 @@ type Matrix struct {
 // Grid bins the portrait's trajectory into an n×n occupancy matrix.
 // Points at the upper boundary (value exactly 1) land in the last bin.
 func (p *Portrait) Grid(n int) (*Matrix, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("portrait: grid size %d must be positive", n)
+	m := &Matrix{}
+	if err := p.GridInto(m, n); err != nil {
+		return nil, err
 	}
-	m := &Matrix{N: n, Counts: make([]int, n*n)}
+	return m, nil
+}
+
+// GridInto is Grid binning into m, reusing m's Counts storage.
+func (p *Portrait) GridInto(m *Matrix, n int) error {
+	if n <= 0 {
+		return fmt.Errorf("portrait: grid size %d must be positive", n)
+	}
+	m.Counts = slices.Grow(m.Counts[:0], n*n)[:n*n]
+	clear(m.Counts)
+	m.N, m.Total = n, 0
 	for k := 0; k < p.Len(); k++ {
 		col := binIndex(p.A[k], n)
 		row := binIndex(p.E[k], n)
 		m.Counts[row*n+col]++
 		m.Total++
 	}
-	return m, nil
+	return nil
 }
 
 func binIndex(v float64, n int) int {
@@ -143,15 +159,16 @@ func binIndex(v float64, n int) int {
 func (m *Matrix) At(row, col int) int { return m.Counts[row*m.N+col] }
 
 // ColumnAverages returns, for each column j, the mean count over the
-// column's n cells — the series the matrix features are computed from.
-func (m *Matrix) ColumnAverages() []float64 {
-	out := make([]float64, m.N)
+// column's n cells — the series the matrix features are computed from —
+// written over dst's contents.
+func (m *Matrix) ColumnAverages(dst []float64) []float64 {
+	out := slices.Grow(dst[:0], m.N)
 	for j := 0; j < m.N; j++ {
 		var s int
 		for i := 0; i < m.N; i++ {
 			s += m.At(i, j)
 		}
-		out[j] = float64(s) / float64(m.N)
+		out = append(out, float64(s)/float64(m.N))
 	}
 	return out
 }
@@ -167,6 +184,9 @@ func (m *Matrix) SpatialFillingIndex() float64 {
 	var s float64
 	tot := float64(m.Total)
 	for _, c := range m.Counts {
+		if c == 0 {
+			continue // adds exactly +0
+		}
 		p := float64(c) / tot
 		s += p * p
 	}

@@ -51,15 +51,15 @@ func TestPointAccessors(t *testing.T) {
 	if p.Len() != 3 {
 		t.Errorf("Len = %d", p.Len())
 	}
-	rp := p.RPoints()
+	rp := p.Points(nil, p.RPeaks)
 	if len(rp) != 1 || rp[0] != (Point{X: 0.5, Y: 0.5}) {
 		t.Errorf("RPoints = %v", rp)
 	}
-	sp := p.SysPoints()
+	sp := p.Points(nil, p.SysPeaks)
 	if len(sp) != 1 || sp[0] != (Point{X: 1, Y: 1}) {
 		t.Errorf("SysPoints = %v", sp)
 	}
-	pp := p.PairPoints()
+	pp := p.PairPoints(nil)
 	if len(pp) != 1 || pp[0][0] != (Point{X: 0.5, Y: 0.5}) || pp[0][1] != (Point{X: 1, Y: 1}) {
 		t.Errorf("PairPoints = %v", pp)
 	}
@@ -116,7 +116,7 @@ func TestColumnAverages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := m.ColumnAverages()
+	col := m.ColumnAverages(nil)
 	if col[0] != 1 { // 4 points over 4 cells in the column
 		t.Errorf("column 0 average = %v, want 1", col[0])
 	}

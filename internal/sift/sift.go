@@ -23,6 +23,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"github.com/wiot-security/sift/internal/dataset"
 	"github.com/wiot-security/sift/internal/features"
@@ -78,22 +80,45 @@ type Result struct {
 	Margin  float64 // signed SVM decision value (positive = altered)
 }
 
+// scratch is the working memory of one classification. A Detector serves
+// every station its subject streams through, concurrently, so scratch is
+// drawn from a pool rather than held by the Detector.
+type scratch struct {
+	portrait portrait.Portrait
+	features features.Scratch
+	vec      []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // FeaturesOf runs the PeaksDataCheck and FeatureExtraction stages: it
 // validates the window, builds its portrait, and extracts the detector's
 // feature vector.
 func (d *Detector) FeaturesOf(w dataset.Window) ([]float64, error) {
-	p, err := w.Portrait()
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	f, err := d.features(s, w)
 	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(f), nil
+}
+
+// features is FeaturesOf working in s; the vector it returns is s's.
+func (d *Detector) features(s *scratch, w dataset.Window) ([]float64, error) {
+	if err := s.portrait.Build(w.ECG, w.ABP, w.RPeaks, w.SysPeaks, w.Pairs); err != nil {
 		return nil, fmt.Errorf("sift: build portrait: %w", err)
 	}
-	f, err := features.Extract(d.Version, p, d.GridN)
+	f, err := s.features.Extract(s.vec, d.Version, &s.portrait, d.GridN)
 	if err != nil {
 		return nil, fmt.Errorf("sift: extract features: %w", err)
 	}
+	s.vec = f
 	return f, nil
 }
 
-// Classify runs the full pipeline on one window.
+// Classify runs the full pipeline on one window. With the pool warm it
+// allocates nothing.
 func (d *Detector) Classify(w dataset.Window) (Result, error) {
 	if d.Model == nil {
 		return Result{}, errors.New("sift: detector has no trained model")
@@ -101,7 +126,9 @@ func (d *Detector) Classify(w dataset.Window) (Result, error) {
 	if d.PeakSanity && len(w.RPeaks) == 0 {
 		return Result{Altered: true, Margin: SanityMargin}, nil
 	}
-	f, err := d.FeaturesOf(w)
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	f, err := d.features(s, w)
 	if err != nil {
 		return Result{}, err
 	}

@@ -105,17 +105,19 @@ type Model struct {
 }
 
 // Decision returns the signed margin w·z + b for a raw (unstandardized)
-// feature vector.
+// feature vector. Each feature is standardized inside the dot product, so
+// Decision allocates nothing.
 func (m *Model) Decision(x []float64) float64 {
-	z := x
-	if m.Scaler != nil {
-		z = m.Scaler.Apply(x)
-	}
 	var s float64
-	for j := range m.Weights {
-		if j < len(z) {
-			s += m.Weights[j] * z[j]
+	for j, w := range m.Weights {
+		if j >= len(x) {
+			break
 		}
+		z := x[j]
+		if m.Scaler != nil {
+			z = (z - m.Scaler.Mean[j]) / m.Scaler.Std[j]
+		}
+		s += w * z
 	}
 	return s + m.Bias
 }
@@ -218,11 +220,16 @@ func Train(x [][]float64, y []Label, cfg Config) (*Model, error) {
 	b := 0.0
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
+	// f reads gram[k][i] as gram[i][k]: the matrix is symmetric, and
+	// walking row i keeps the scan sequential instead of striding across
+	// m separately allocated rows, whose cache behaviour then depends on
+	// where the heap happened to place them.
 	f := func(i int) float64 {
 		var s float64
+		row := gram[i]
 		for k := 0; k < m; k++ {
 			if alpha[k] != 0 {
-				s += alpha[k] * float64(y[k]) * gram[k][i]
+				s += alpha[k] * float64(y[k]) * row[k]
 			}
 		}
 		return s + b

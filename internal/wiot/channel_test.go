@@ -135,12 +135,12 @@ func TestStationConcealsLoss(t *testing.T) {
 	if st.SeqErrors() != 1 {
 		t.Errorf("seq errors = %d, want 1", st.SeqErrors())
 	}
-	if len(st.ecg) != 270 {
-		t.Fatalf("buffer = %d samples, want 270", len(st.ecg))
+	if len(st.ecg.samples) != 270 {
+		t.Fatalf("buffer = %d samples, want 270", len(st.ecg.samples))
 	}
 	// The concealed span holds the last value before the gap.
-	if st.ecg[100] != 1 {
-		t.Errorf("concealed sample = %v, want hold-last 1", st.ecg[100])
+	if st.ecg.samples[100] != 1 {
+		t.Errorf("concealed sample = %v, want hold-last 1", st.ecg.samples[100])
 	}
 }
 
@@ -156,8 +156,8 @@ func TestStationDropsDuplicates(t *testing.T) {
 	if st.StaleFrames() != 1 {
 		t.Errorf("stale = %d, want 1", st.StaleFrames())
 	}
-	if len(st.abp) != 2 {
-		t.Errorf("buffer = %d samples, want 2 (duplicate dropped)", len(st.abp))
+	if len(st.abp.samples) != 2 {
+		t.Errorf("buffer = %d samples, want 2 (duplicate dropped)", len(st.abp.samples))
 	}
 }
 

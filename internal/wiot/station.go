@@ -12,6 +12,11 @@ import (
 // Detector is the base station's pluggable classification back end; both
 // the host-reference detector and the emulated-device detector satisfy it
 // through small adapters.
+//
+// The station lends each window its own buffers: w.ECG, w.ABP, w.RPeaks,
+// w.SysPeaks and w.Pairs are valid only until Classify returns, and the
+// station overwrites them with the next window. An implementation that
+// needs any of them afterwards must copy it.
 type Detector interface {
 	// Classify returns whether the window's ECG was altered.
 	Classify(w dataset.Window) (bool, error)
@@ -73,20 +78,36 @@ type StationConfig struct {
 // BaseStation assembles synchronized ECG/ABP windows from sensor frames
 // and runs the detector on each completed window. It is the Amulet's role
 // in Fig 1.
+//
+// The station owns every buffer a window passes through: the two sample
+// streams the window is cut from, the runtime R detector and the
+// systolic/pair scratch. A window handed to the Detector borrows them, so
+// in steady state classifying a window allocates nothing on this side of
+// the Detector interface.
 type BaseStation struct {
-	cfg  StationConfig
-	wlen int
+	cfg    StationConfig
+	wlen   int
+	maxLag int // R→systolic pairing bound in samples
 
 	mu        sync.Mutex
-	ecg       []float64
-	abp       []float64
-	nextSeq   map[SensorID]uint32
-	seqSynced map[SensorID]bool // first frame seen; nextSeq is meaningful
-	lastVal   map[SensorID]float64
+	ecg       sensorStream
+	abp       sensorStream
+	rdet      *peaks.RDetector // nil unless DetectPeaksAtRuntime
+	sysPeaks  []int
+	pairs     [][2]int
 	seqErrors int
 	concealed int // samples synthesized to cover lost frames
 	stale     int // duplicate/out-of-order frames dropped
 	windows   int
+}
+
+// sensorStream is one sensor's reassembly state.
+type sensorStream struct {
+	samples  []float64 // received and concealed samples not yet windowed
+	next     uint32    // sequence number expected next
+	synced   bool      // first frame seen; next is meaningful
+	last     float64   // last sample received, held to conceal losses
+	frameLen int       // sample count of the last frame received
 }
 
 // NewBaseStation validates the configuration and builds a station.
@@ -110,13 +131,19 @@ func NewBaseStation(cfg StationConfig) (*BaseStation, error) {
 	if wlen <= 0 {
 		return nil, fmt.Errorf("wiot: degenerate window of %d samples", wlen)
 	}
-	return &BaseStation{
-		cfg:       cfg,
-		wlen:      wlen,
-		nextSeq:   make(map[SensorID]uint32),
-		seqSynced: make(map[SensorID]bool),
-		lastVal:   make(map[SensorID]float64),
-	}, nil
+	b := &BaseStation{
+		cfg:    cfg,
+		wlen:   wlen,
+		maxLag: int(dataset.MaxPairLagSec * cfg.SampleRate),
+	}
+	if cfg.DetectPeaksAtRuntime {
+		rdet, err := peaks.NewRDetector(peaks.DetectorConfig{SampleRate: cfg.SampleRate})
+		if err != nil {
+			return nil, fmt.Errorf("wiot: runtime R detector: %w", err)
+		}
+		b.rdet = rdet
+	}
+	return b, nil
 }
 
 // StationStats is a consistent snapshot of a station's counters, taken
@@ -166,49 +193,44 @@ func (b *BaseStation) HandleFrame(f Frame) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 
-	want, synced := b.nextSeq[f.Sensor], b.seqSynced[f.Sensor]
+	s := &b.ecg
+	if f.Sensor == SensorABP {
+		s = &b.abp
+	}
 	seen := f.Seq
 	switch {
-	case !synced:
+	case !s.synced:
 		// First frame from this sensor: adopt its sequence as the stream
 		// origin. Treating an arbitrary starting point as a gap from zero
 		// would synthesize up to 2^32 frames of concealment.
-		b.seqSynced[f.Sensor] = true
-	case seqBefore(seen, want):
+		s.synced = true
+	case seqBefore(seen, s.next):
 		// Duplicate or reordered-late frame: already accounted for. The
 		// comparison is serial (RFC 1982): after the u32 sequence space
 		// wraps, post-wrap frames are later than pre-wrap ones, not stale.
 		b.stale++
 		return nil
-	case seqAfter(seen, want):
-		gap := int(seen - want)
+	case seqAfter(seen, s.next):
+		// The lost frames are as long as the last one received, not the
+		// arriving one: only a stream's final frame is short, and a gap it
+		// reveals must still be filled in full.
+		gap := int(seen - s.next)
 		b.seqErrors += gap
-		fill := gap * len(f.Samples)
+		fill := gap * s.frameLen
 		b.concealed += fill
-		hold := b.lastVal[f.Sensor]
-		pad := make([]float64, fill)
-		for i := range pad {
-			pad[i] = hold
+		for range fill {
+			s.samples = append(s.samples, s.last)
 		}
-		b.appendSamples(f.Sensor, pad)
 	}
-	b.nextSeq[f.Sensor] = seen + 1
-
-	samples := f.FloatSamples()
-	if len(samples) > 0 {
-		b.lastVal[f.Sensor] = samples[len(samples)-1]
+	s.next = seen + 1
+	s.frameLen = len(f.Samples)
+	for _, q := range f.Samples {
+		s.samples = append(s.samples, q.Float())
 	}
-	b.appendSamples(f.Sensor, samples)
+	if len(f.Samples) > 0 {
+		s.last = s.samples[len(s.samples)-1]
+	}
 	return b.drainWindows()
-}
-
-func (b *BaseStation) appendSamples(id SensorID, samples []float64) {
-	switch id {
-	case SensorECG:
-		b.ecg = append(b.ecg, samples...)
-	case SensorABP:
-		b.abp = append(b.abp, samples...)
-	}
 }
 
 // ConcealedSamples returns how many samples were synthesized to cover
@@ -226,42 +248,56 @@ func (b *BaseStation) StaleFrames() int {
 	return b.stale
 }
 
-// drainWindows pops and classifies every complete window. Caller holds mu.
+// drainWindows classifies every complete window, then moves the
+// unwindowed tail of each stream to the front of its buffer. Caller
+// holds mu.
 func (b *BaseStation) drainWindows() error {
-	for len(b.ecg) >= b.wlen && len(b.abp) >= b.wlen {
-		ecg := make([]float64, b.wlen)
-		abp := make([]float64, b.wlen)
-		copy(ecg, b.ecg[:b.wlen])
-		copy(abp, b.abp[:b.wlen])
-		b.ecg = b.ecg[b.wlen:]
-		b.abp = b.abp[b.wlen:]
-
-		w := dataset.Window{
-			SubjectID: b.cfg.SubjectID,
-			Index:     b.windows,
-			ECG:       ecg,
-			ABP:       abp,
-		}
-		if b.cfg.DetectPeaksAtRuntime {
-			r, err := peaks.DetectR(ecg, peaks.DetectorConfig{SampleRate: b.cfg.SampleRate})
-			if err != nil {
-				return fmt.Errorf("wiot: runtime R detection: %w", err)
-			}
-			s, err := peaks.DetectSystolic(abp, b.cfg.SampleRate)
-			if err != nil {
-				return fmt.Errorf("wiot: runtime systolic detection: %w", err)
-			}
-			w.RPeaks = r
-			w.SysPeaks = s
-			w.Pairs = peaks.Pair(r, s, int(dataset.MaxPairLagSec*b.cfg.SampleRate))
-		}
-
-		altered, err := b.cfg.Detector.Classify(w)
-		if err != nil {
-			return fmt.Errorf("wiot: classify window %d: %w", w.Index, err)
-		}
-		b.cfg.Sink.Deliver(Alert{WindowIndex: b.windows, Altered: altered, SubjectID: b.cfg.SubjectID})
-		b.windows++
+	var err error
+	off := 0
+	for err == nil && len(b.ecg.samples)-off >= b.wlen && len(b.abp.samples)-off >= b.wlen {
+		end := off + b.wlen
+		err = b.classify(b.ecg.samples[off:end:end], b.abp.samples[off:end:end])
+		off = end
 	}
+	b.ecg.consume(off)
+	b.abp.consume(off)
+	return err
+}
+
+// consume drops the first n samples, keeping the buffer's storage.
+func (s *sensorStream) consume(n int) {
+	if n > 0 {
+		s.samples = s.samples[:copy(s.samples, s.samples[n:])]
+	}
+}
+
+// classify runs the detector on one window and delivers its verdict.
+// Caller holds mu.
+func (b *BaseStation) classify(ecg, abp []float64) error {
+	w := dataset.Window{
+		SubjectID: b.cfg.SubjectID,
+		Index:     b.windows,
+		ECG:       ecg,
+		ABP:       abp,
+	}
+	if b.cfg.DetectPeaksAtRuntime {
+		r, err := b.rdet.Detect(ecg)
+		if err != nil {
+			return fmt.Errorf("wiot: runtime R detection: %w", err)
+		}
+		b.sysPeaks, err = peaks.DetectSystolicInto(b.sysPeaks, abp, b.cfg.SampleRate)
+		if err != nil {
+			return fmt.Errorf("wiot: runtime systolic detection: %w", err)
+		}
+		b.pairs = peaks.PairInto(b.pairs, r, b.sysPeaks, b.maxLag)
+		w.RPeaks, w.SysPeaks, w.Pairs = r, b.sysPeaks, b.pairs
+	}
+
+	altered, err := b.cfg.Detector.Classify(w)
+	if err != nil {
+		return fmt.Errorf("wiot: classify window %d: %w", w.Index, err)
+	}
+	b.cfg.Sink.Deliver(Alert{WindowIndex: b.windows, Altered: altered, SubjectID: b.cfg.SubjectID})
+	b.windows++
 	return nil
 }
